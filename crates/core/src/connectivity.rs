@@ -5,101 +5,17 @@
 //! the true connected components with high probability; every output is
 //! cheap to validate against [`kgraph::refalgo::connected_components`].
 
-use crate::engine::{Engine, EngineConfig, EngineResult, MergeStrategy, Mode, RecoveryPolicy};
+use crate::engine::{Engine, EngineConfig, EngineResult, Mode};
 use crate::messages::Label;
 use kgraph::{Graph, Partition, ShardedGraph};
-use kmachine::bandwidth::Bandwidth;
-use kmachine::fault::FaultPlan;
-use kmachine::message::Encoding;
 use kmachine::metrics::CommStats;
-use kmachine::trace::Tracer;
-use kmachine::transport::TransportSel;
 
-/// Configuration for a connectivity run.
-#[derive(Clone, Debug)]
-pub struct ConnectivityConfig {
-    /// Per-link bandwidth policy (default: `8·log²n` bits per round).
-    pub bandwidth: Bandwidth,
-    /// Sketch repetitions (default 5).
-    pub reps: u32,
-    /// Charge the §2.2 shared-randomness distribution cost (default true).
-    pub charge_shared_randomness: bool,
-    /// Run the §2.6 component-counting output protocol (default true).
-    pub run_output_protocol: bool,
-    /// Optional hard phase cap (default: the paper's `12 log₂ n`).
-    pub max_phases: Option<u32>,
-    /// Merge-partner rule: DRR ranks (§2.5, default) or footnote 9's
-    /// coin flips (the E17 ablation).
-    pub merge: MergeStrategy,
-    /// Which §1.1 communication restriction to charge rounds under
-    /// (per-link default; per-machine for the E19 equivalence check).
-    pub cost_model: kmachine::bandwidth::CostModel,
-    /// Phases per iteration-0 sketch-function epoch (incremental sketch
-    /// reuse; `0` rebuilds everything every phase — the ablation).
-    pub sketch_reuse_period: u32,
-    /// Deterministic fault-injection plan the run must survive (`None` —
-    /// the default — keeps the fault-free behaviour bit for bit).
-    pub faults: Option<FaultPlan>,
-    /// How injected faults are survived (ack/retransmit + phase
-    /// checkpoints, both on by default).
-    pub recovery: RecoveryPolicy,
-    /// Supergraph contraction after phase 0 (DESIGN.md §3.11; default
-    /// `false` — the paper's sketch path, kept as the pinned ablation).
-    pub contract: bool,
-    /// Wire encoding the superstep layer charges bandwidth under (default
-    /// per-message [`Encoding::Naive`]; [`Encoding::Varint`] batch-encodes
-    /// each link's traffic). Accounting only — never the trajectory.
-    pub encoding: Encoding,
-    /// Byte transport carrying each superstep window (default
-    /// [`TransportSel::Sim`], the in-process oracle; see DESIGN.md §3.12).
-    pub transport: TransportSel,
-    /// Structured event tracer (DESIGN.md §3.14; default off). Never
-    /// changes outputs or [`CommStats`].
-    pub trace: Tracer,
-}
-
-impl Default for ConnectivityConfig {
-    fn default() -> Self {
-        let e = EngineConfig::default();
-        ConnectivityConfig {
-            bandwidth: e.bandwidth,
-            reps: e.reps,
-            charge_shared_randomness: e.charge_shared_randomness,
-            run_output_protocol: e.run_output_protocol,
-            max_phases: e.max_phases,
-            merge: e.merge,
-            cost_model: e.cost_model,
-            sketch_reuse_period: e.sketch_reuse_period,
-            faults: e.faults,
-            recovery: e.recovery,
-            contract: e.contract,
-            encoding: e.encoding,
-            transport: e.transport,
-            trace: e.trace,
-        }
-    }
-}
-
-impl ConnectivityConfig {
-    fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            bandwidth: self.bandwidth,
-            reps: self.reps,
-            charge_shared_randomness: self.charge_shared_randomness,
-            run_output_protocol: self.run_output_protocol,
-            max_phases: self.max_phases,
-            merge: self.merge,
-            cost_model: self.cost_model,
-            sketch_reuse_period: self.sketch_reuse_period,
-            faults: self.faults.clone(),
-            recovery: self.recovery,
-            contract: self.contract,
-            encoding: self.encoding,
-            transport: self.transport,
-            trace: self.trace.clone(),
-        }
-    }
-}
+/// Configuration for a connectivity run: exactly the engine's knobs
+/// ([`EngineConfig`]), under the name connectivity callers know. Every
+/// runtime knob — bandwidth, faults, recovery, contraction, encoding,
+/// transport, tracing — is declared once, on [`EngineConfig`]; MST and min
+/// cut carry their subsets and convert into it.
+pub type ConnectivityConfig = EngineConfig;
 
 /// The result of a connectivity run.
 #[derive(Clone, Debug)]
@@ -208,7 +124,7 @@ pub fn connected_components_sharded(
     seed: u64,
     cfg: &ConnectivityConfig,
 ) -> ConnectivityOutput {
-    Engine::new(sg, Mode::Connectivity, seed, cfg.engine())
+    Engine::new(sg, Mode::Connectivity, seed, cfg.clone())
         .run()
         .into()
 }

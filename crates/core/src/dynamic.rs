@@ -71,12 +71,14 @@ use crate::session::{Cluster, Problem, Run, RunReport};
 use crate::st::SpanningForestOutput;
 use kgraph::graph::Edge;
 use kgraph::Partition;
+use kmachine::bandwidth::Bandwidth;
 use kmachine::bsp::Bsp;
 use kmachine::det;
-use kmachine::message::Envelope;
+use kmachine::message::{Encoding, Envelope};
 use kmachine::metrics::CommStats;
 use kmachine::network::NetworkConfig;
 use kmachine::trace::{phase_breakdown, TraceEvent, Tracer};
+use kmachine::transport::TransportSel;
 use krand::shared::SharedRandomness;
 use ksketch::{L0Sketch, SketchFns, SketchParams};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -372,6 +374,15 @@ pub struct DynConfig {
     /// reliable-delivery protocol, so batches and certificates stay
     /// bit-identical to fault-free runs while the costs are counted.
     pub faults: Option<kmachine::fault::FaultPlan>,
+    /// Wire encoding the update-routing superstep (and
+    /// [`DynamicCluster::full_reingest_stats`], its baseline) charges
+    /// bandwidth under (default [`Encoding::Naive`]). Solves and their
+    /// certification exchanges use their own config's encoding.
+    pub encoding: Encoding,
+    /// Byte transport carrying the update-routing superstep (default
+    /// [`TransportSel::Sim`]; see DESIGN.md §3.12). Solves use their own
+    /// config's transport.
+    pub transport: TransportSel,
     /// Structured event tracer (DESIGN.md §3.14; default off). The dynamic
     /// layer narrates batch routing and certification; inner solves thread
     /// the same tracer through their engine runs.
@@ -384,6 +395,8 @@ impl Default for DynConfig {
             compaction_threshold: 1024,
             certify: true,
             faults: None,
+            encoding: Encoding::Naive,
+            transport: TransportSel::Sim,
             trace: Tracer::off(),
         }
     }
@@ -683,7 +696,7 @@ impl DynamicCluster {
             }
         }
         let mut bsp: Bsp<Payload> = Bsp::new(self.network());
-        crate::engine::attach_transport(&mut bsp, self.inner.defaults().transport, self.k());
+        crate::engine::attach_transport(&mut bsp, self.cfg.transport, self.k());
         bsp.set_tracer(self.cfg.trace.clone());
         if let Some(plan) = self.cfg.faults.clone() {
             bsp.install_faults(plan, true);
@@ -756,20 +769,8 @@ impl DynamicCluster {
         let started = Instant::now();
         let mark = self.cfg.trace.mark();
         let ecfg = EngineConfig {
-            bandwidth: cfg.bandwidth,
-            reps: cfg.reps,
-            charge_shared_randomness: cfg.charge_shared_randomness,
             run_output_protocol: false,
-            max_phases: cfg.max_phases,
-            merge: cfg.merge,
-            cost_model: cfg.cost_model,
-            sketch_reuse_period: cfg.sketch_reuse_period,
-            faults: cfg.faults.clone(),
-            recovery: cfg.recovery,
-            contract: cfg.contract,
-            encoding: cfg.encoding,
-            transport: cfg.transport,
-            trace: cfg.trace.clone(),
+            ..cfg.clone()
         };
         let r = self.refresh(ecfg);
         let report = self.report("conn", &r, started, mark);
@@ -805,20 +806,7 @@ impl DynamicCluster {
     pub fn spanning_forest(&mut self, cfg: &MstConfig) -> Run<SpanningForestOutput> {
         let started = Instant::now();
         let mark = self.cfg.trace.mark();
-        let ecfg = EngineConfig {
-            bandwidth: cfg.bandwidth,
-            reps: cfg.reps,
-            charge_shared_randomness: cfg.charge_shared_randomness,
-            run_output_protocol: false,
-            max_phases: cfg.max_phases,
-            faults: cfg.faults.clone(),
-            recovery: cfg.recovery,
-            contract: cfg.contract,
-            encoding: cfg.encoding,
-            transport: cfg.transport,
-            trace: cfg.trace.clone(),
-            ..EngineConfig::default()
-        };
+        let ecfg = cfg.engine();
         let r = self.refresh(ecfg);
         let report = self.report("st", &r, started, mark);
         let state = self.state.as_ref().expect("refresh leaves state set");
@@ -865,20 +853,7 @@ impl DynamicCluster {
         let started = Instant::now();
         let mark = self.cfg.trace.mark();
         self.compact_now();
-        let ecfg = EngineConfig {
-            bandwidth: cfg.bandwidth,
-            reps: cfg.reps,
-            charge_shared_randomness: cfg.charge_shared_randomness,
-            run_output_protocol: false,
-            max_phases: cfg.max_phases,
-            faults: cfg.faults.clone(),
-            recovery: cfg.recovery,
-            contract: cfg.contract,
-            encoding: cfg.encoding,
-            transport: cfg.transport,
-            trace: cfg.trace.clone(),
-            ..EngineConfig::default()
-        };
+        let ecfg = cfg.engine();
         // Net out the update log: an edge whose current weight equals its
         // weight at the last MST solve contributes nothing (insert-then-
         // delete, delete-then-reinsert at the same weight, …).
@@ -1709,13 +1684,12 @@ impl DynamicCluster {
         self.epoch_recovery_rounds = 0;
     }
 
+    /// The update-routing network: default bandwidth and cost model, the
+    /// configured encoding.
     fn network(&self) -> NetworkConfig {
         NetworkConfig {
-            k: self.k(),
-            bandwidth: self.inner.defaults().bandwidth,
-            n: self.n(),
-            cost_model: self.inner.defaults().cost_model,
-            encoding: self.inner.defaults().encoding,
+            encoding: self.cfg.encoding,
+            ..NetworkConfig::new(self.k(), Bandwidth::default(), self.n())
         }
     }
 
@@ -1794,7 +1768,7 @@ impl DynamicCluster {
         debug_assert_eq!(self.pending_half_ops(), 0, "compact before measuring");
         let l = id_bits(self.n());
         let mut bsp: Bsp<Payload> = Bsp::new(self.network());
-        crate::engine::attach_transport(&mut bsp, self.inner.defaults().transport, self.k());
+        crate::engine::attach_transport(&mut bsp, self.cfg.transport, self.k());
         let mut envelopes = Vec::with_capacity(2 * self.m());
         for i in 0..self.k() {
             for e in self.inner.sharded().view(i).local_edges() {

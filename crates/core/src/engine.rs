@@ -152,22 +152,31 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// Engine configuration shared by connectivity and MST.
+/// The runtime knobs of one engine run — the single place they are
+/// declared. Connectivity runs take it as is (under its
+/// [`crate::connectivity::ConnectivityConfig`] alias); [`crate::MstConfig`]
+/// and [`crate::MinCutConfig`] carry the subsets their problems expose and
+/// convert into it.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Per-link bandwidth policy.
+    /// Per-link bandwidth policy (default: `8·log²n` bits per round).
     pub bandwidth: Bandwidth,
-    /// Sketch repetitions (failure probability decays exponentially).
+    /// Sketch repetitions (default 5; failure probability decays
+    /// exponentially).
     pub reps: u32,
-    /// Charge the §2.2 shared-randomness distribution cost (E15 ablation).
+    /// Charge the §2.2 shared-randomness distribution cost (default true;
+    /// the E15 ablation turns it off).
     pub charge_shared_randomness: bool,
-    /// Run the §2.6 component-counting output protocol at the end.
+    /// Run the §2.6 component-counting output protocol at the end
+    /// (default true).
     pub run_output_protocol: bool,
     /// Hard phase cap; defaults to the paper's `12 log₂ n`.
     pub max_phases: Option<u32>,
-    /// Merge-partner selection rule (§2.5 vs footnote 9).
+    /// Merge-partner rule: DRR ranks (§2.5, default) or footnote 9's
+    /// coin flips (the E17 ablation).
     pub merge: MergeStrategy,
-    /// Which §1.1 communication restriction to charge rounds under.
+    /// Which §1.1 communication restriction to charge rounds under
+    /// (per-link default; per-machine for the E19 equivalence check).
     pub cost_model: kmachine::bandwidth::CostModel,
     /// How many phases share one set of iteration-0 sketch functions, so
     /// unchanged parts can reuse their cached sketches. `0` disables reuse

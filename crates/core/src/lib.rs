@@ -6,10 +6,13 @@
 //! incident edges, never a copy of the graph (DESIGN.md §3.7).
 //!
 //! The primary way in is the [`session`] API, which mirrors the model
-//! itself: build a [`session::Cluster`] once (k machines, bandwidth, seed,
-//! one ingestion of a graph or edge stream into per-machine shards), then
-//! run any number of [`session::Problem`]s against it — every run returns
-//! its typed output plus a common [`session::RunReport`]. The per-problem
+//! itself: build a [`session::Cluster`] once (k machines, seed, one
+//! ingestion of a graph or edge stream into per-machine shards), then run
+//! any number of [`session::Problem`]s against it — every run returns its
+//! typed output plus a common [`session::RunReport`]. Runtime knobs
+//! (bandwidth, faults, contraction, encoding, transport, tracing) are
+//! declared once, on [`engine::EngineConfig`] (alias [`ConnectivityConfig`]);
+//! [`MstConfig`] and [`MinCutConfig`] carry their subsets. The per-problem
 //! free functions (`connected_components`, `minimum_spanning_tree`, …)
 //! survive as thin shims over the session path and stay bit-identical to
 //! it; the `*_sharded` entry points accept streamed shards directly.

@@ -68,6 +68,25 @@ impl Default for MinCutConfig {
     }
 }
 
+impl MinCutConfig {
+    /// The config every inner connectivity probe runs under: this
+    /// config's knobs, every other knob at its default.
+    pub(crate) fn connectivity(&self) -> ConnectivityConfig {
+        ConnectivityConfig {
+            bandwidth: self.bandwidth,
+            reps: self.reps,
+            charge_shared_randomness: self.charge_shared_randomness,
+            faults: self.faults.clone(),
+            recovery: self.recovery,
+            contract: self.contract,
+            encoding: self.encoding,
+            transport: self.transport,
+            trace: self.trace.clone(),
+            ..ConnectivityConfig::default()
+        }
+    }
+}
+
 /// The result of a min-cut approximation run.
 #[derive(Clone, Debug)]
 pub struct MinCutOutput {
@@ -115,19 +134,7 @@ pub fn approx_min_cut(g: &Graph, k: usize, seed: u64, cfg: &MinCutConfig) -> Min
 pub fn approx_min_cut_sharded(sg: &ShardedGraph, seed: u64, cfg: &MinCutConfig) -> MinCutOutput {
     let k = sg.k();
     let shared = SharedRandomness::new(seed ^ 0xC07);
-    let conn_cfg = ConnectivityConfig {
-        bandwidth: cfg.bandwidth,
-        reps: cfg.reps,
-        charge_shared_randomness: cfg.charge_shared_randomness,
-        run_output_protocol: true,
-        faults: cfg.faults.clone(),
-        recovery: cfg.recovery,
-        contract: cfg.contract,
-        encoding: cfg.encoding,
-        transport: cfg.transport,
-        trace: cfg.trace.clone(),
-        ..ConnectivityConfig::default()
-    };
+    let conn_cfg = cfg.connectivity();
     let mut stats = CommStats::new(k);
     // Probe i = 0 is p = 1 (the input graph itself). Each machine knows its
     // local maximum weight; the global max is free to aggregate in-model.

@@ -89,6 +89,28 @@ impl Default for MstConfig {
     }
 }
 
+impl MstConfig {
+    /// The engine config an MST-family run (MST, spanning forest, their
+    /// dynamic refreshes) executes under: this config's knobs, the §2.6
+    /// counting protocol off, every other knob at its default.
+    pub(crate) fn engine(&self) -> EngineConfig {
+        EngineConfig {
+            bandwidth: self.bandwidth,
+            reps: self.reps,
+            charge_shared_randomness: self.charge_shared_randomness,
+            run_output_protocol: false,
+            max_phases: self.max_phases,
+            faults: self.faults.clone(),
+            recovery: self.recovery,
+            contract: self.contract,
+            encoding: self.encoding,
+            transport: self.transport,
+            trace: self.trace.clone(),
+            ..EngineConfig::default()
+        }
+    }
+}
+
 /// The result of an MST run.
 #[derive(Clone, Debug)]
 pub struct MstOutput {
@@ -152,23 +174,7 @@ pub fn minimum_spanning_tree_with_partition(
 /// Runs the MST algorithm directly on sharded storage (the streaming
 /// ingestion path).
 pub fn minimum_spanning_tree_sharded(sg: &ShardedGraph, seed: u64, cfg: &MstConfig) -> MstOutput {
-    let engine_cfg = EngineConfig {
-        bandwidth: cfg.bandwidth,
-        reps: cfg.reps,
-        charge_shared_randomness: cfg.charge_shared_randomness,
-        run_output_protocol: false,
-        max_phases: cfg.max_phases,
-        merge: Default::default(),
-        cost_model: Default::default(),
-        faults: cfg.faults.clone(),
-        recovery: cfg.recovery,
-        contract: cfg.contract,
-        encoding: cfg.encoding,
-        transport: cfg.transport,
-        trace: cfg.trace.clone(),
-        ..EngineConfig::default()
-    };
-    let result = Engine::new(sg, Mode::Mst, seed, engine_cfg).run();
+    let result = Engine::new(sg, Mode::Mst, seed, cfg.engine()).run();
     let mut stats = result.stats.clone();
     let mut endpoint_routing = None;
     if cfg.criterion == OutputCriterion::BothEndpoints {

@@ -4,10 +4,12 @@
 //! The k-machine model (paper §1.1) fixes a cluster — `k` machines, a
 //! per-link bandwidth budget, a random vertex partition — and then runs
 //! algorithms *on* that cluster. This module mirrors that shape in the
-//! API: a [`ClusterBuilder`] captures the model parameters and ingests any
+//! API: a [`ClusterBuilder`] takes `(k, seed)` and ingests any
 //! [`EdgeStream`] or `&Graph` into a reusable [`Cluster`] (the per-machine
 //! [`ShardedGraph`] shards plus the public partition), and every algorithm
-//! is a [`Problem`] value the cluster executes:
+//! is a [`Problem`] value the cluster executes. A problem's config is the
+//! one place its runtime knobs (bandwidth, faults, contraction, encoding,
+//! transport, tracing) are set:
 //!
 //! ```
 //! use kconn::session::{Cluster, Connectivity, Mst, Problem, SpanningForest};
@@ -46,16 +48,14 @@ use crate::baselines::flooding::{flooding_sharded, FloodingOutput};
 use crate::baselines::referee::{referee_sharded, RefereeOutput};
 use crate::baselines::rep_mst::{rep_mst_sharded, RepMstOutput};
 use crate::connectivity::{connected_components_sharded, ConnectivityConfig, ConnectivityOutput};
-use crate::engine::EngineConfig;
 use crate::mincut::{approx_min_cut_sharded, MinCutConfig, MinCutOutput};
-use crate::mst::{minimum_spanning_tree_sharded, MstConfig, MstOutput, OutputCriterion};
+use crate::mst::{minimum_spanning_tree_sharded, MstConfig, MstOutput};
 use crate::st::{spanning_forest_sharded, SpanningForestOutput};
 use kgraph::stream::EdgeStream;
 use kgraph::{Graph, Partition, ShardedGraph};
-use kmachine::bandwidth::{Bandwidth, CostModel};
+use kmachine::bandwidth::Bandwidth;
 use kmachine::metrics::CommStats;
 use kmachine::trace::{PhaseSummary, Tracer};
-use kmachine::transport::TransportSel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -63,17 +63,16 @@ use std::time::{Duration, Instant};
 // Builder
 // ---------------------------------------------------------------------
 
-/// Builds a [`Cluster`]: the model parameters (`k`, seed, bandwidth and the
-/// other [`EngineConfig`] knobs) plus one ingestion call.
+/// Builds a [`Cluster`]: the model parameters (`k`, seed) plus one
+/// ingestion call.
 ///
-/// The knobs set here become the cluster's *defaults*, used by
-/// [`Cluster::run_default`]; a [`Problem`] constructed with an explicit
-/// config ([`Problem::with`]) carries its own settings and ignores them.
+/// Runtime knobs (bandwidth, faults, contraction, encoding, transport,
+/// tracing, …) are not set here: each [`Problem`] carries them in its own
+/// config, so one cluster can run differently configured problems.
 #[derive(Clone, Debug)]
 pub struct ClusterBuilder {
     k: usize,
     seed: u64,
-    defaults: EngineConfig,
 }
 
 impl ClusterBuilder {
@@ -81,63 +80,13 @@ impl ClusterBuilder {
     /// `k ≥ 2`). Seed defaults to `0`; set it with [`ClusterBuilder::seed`].
     pub fn new(k: usize) -> Self {
         assert!(k >= 2, "the k-machine model requires k >= 2");
-        ClusterBuilder {
-            k,
-            seed: 0,
-            defaults: EngineConfig::default(),
-        }
+        ClusterBuilder { k, seed: 0 }
     }
 
     /// Master seed: drives the vertex partition, the shared randomness and
     /// every Monte-Carlo choice, exactly as the one-shot entry points.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Default per-link bandwidth policy for [`Cluster::run_default`].
-    pub fn bandwidth(mut self, bandwidth: Bandwidth) -> Self {
-        self.defaults.bandwidth = bandwidth;
-        self
-    }
-
-    /// Default sketch repetitions.
-    pub fn reps(mut self, reps: u32) -> Self {
-        self.defaults.reps = reps;
-        self
-    }
-
-    /// Whether default configs charge the §2.2 shared-randomness cost.
-    pub fn charge_shared_randomness(mut self, charge: bool) -> Self {
-        self.defaults.charge_shared_randomness = charge;
-        self
-    }
-
-    /// Default §1.1 communication cost model.
-    pub fn cost_model(mut self, cost_model: CostModel) -> Self {
-        self.defaults.cost_model = cost_model;
-        self
-    }
-
-    /// Default phases-per-epoch for incremental sketch reuse.
-    pub fn sketch_reuse_period(mut self, period: u32) -> Self {
-        self.defaults.sketch_reuse_period = period;
-        self
-    }
-
-    /// Which byte transport carries superstep windows (DESIGN.md §3.12):
-    /// the in-process simulator ([`TransportSel::Sim`], the default and the
-    /// accounting oracle) or one OS worker process per machine
-    /// ([`TransportSel::Proc`]). Outputs and logical stats are
-    /// transport-independent — pinned by `tests/transport.rs`.
-    pub fn transport(mut self, transport: TransportSel) -> Self {
-        self.defaults.transport = transport;
-        self
-    }
-
-    /// Replaces the whole default [`EngineConfig`] at once.
-    pub fn engine(mut self, defaults: EngineConfig) -> Self {
-        self.defaults = defaults;
         self
     }
 
@@ -166,7 +115,6 @@ impl ClusterBuilder {
         Cluster {
             sg,
             seed: self.seed,
-            defaults: self.defaults.clone(),
             runs: AtomicU64::new(0),
         }
     }
@@ -177,7 +125,7 @@ impl ClusterBuilder {
 // ---------------------------------------------------------------------
 
 /// A fixed k-machine cluster with an ingested input: per-machine shards,
-/// the public vertex partition, the master seed and the default knobs.
+/// the public vertex partition and the master seed.
 ///
 /// Build one with [`Cluster::builder`], then [`Cluster::run`] any number of
 /// [`Problem`]s against it — ingestion is paid exactly once per cluster
@@ -190,7 +138,6 @@ impl ClusterBuilder {
 pub struct Cluster {
     sg: ShardedGraph,
     seed: u64,
-    defaults: EngineConfig,
     // Atomic (not Cell) so `&Cluster` stays shareable across threads — the
     // counter is diagnostics, it must not cost the type its `Sync`.
     runs: AtomicU64,
@@ -201,7 +148,6 @@ impl Clone for Cluster {
         Cluster {
             sg: self.sg.clone(),
             seed: self.seed,
-            defaults: self.defaults.clone(),
             runs: AtomicU64::new(self.runs()),
         }
     }
@@ -246,12 +192,6 @@ impl Cluster {
         Run { output, report }
     }
 
-    /// Runs `P` configured from the cluster defaults (the builder's
-    /// bandwidth / reps / cost-model knobs).
-    pub fn run_default<P: Problem>(&self) -> Run<P::Output> {
-        self.run(P::with(P::config_from(&self.defaults)))
-    }
-
     /// Number of machines `k`.
     pub fn k(&self) -> usize {
         self.sg.k()
@@ -288,11 +228,6 @@ impl Cluster {
     /// The public vertex partition (home hashing).
     pub fn partition(&self) -> &Partition {
         self.sg.partition()
-    }
-
-    /// The default [`EngineConfig`] knobs set on the builder.
-    pub fn defaults(&self) -> &EngineConfig {
-        &self.defaults
     }
 
     /// How many problems have been run on this cluster so far.
@@ -378,10 +313,6 @@ pub trait Problem {
     where
         Self: Sized;
 
-    /// Derives a config from a cluster's default [`EngineConfig`] knobs
-    /// (used by [`Cluster::run_default`]).
-    fn config_from(defaults: &EngineConfig) -> Self::Config;
-
     /// Executes the problem against the cluster's shards and seed.
     fn solve(&self, cluster: &Cluster) -> Self::Output;
 
@@ -427,25 +358,6 @@ impl Problem for Connectivity {
         Connectivity { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> ConnectivityConfig {
-        ConnectivityConfig {
-            bandwidth: d.bandwidth,
-            reps: d.reps,
-            charge_shared_randomness: d.charge_shared_randomness,
-            run_output_protocol: d.run_output_protocol,
-            max_phases: d.max_phases,
-            merge: d.merge,
-            cost_model: d.cost_model,
-            sketch_reuse_period: d.sketch_reuse_period,
-            faults: d.faults.clone(),
-            recovery: d.recovery,
-            contract: d.contract,
-            encoding: d.encoding,
-            transport: d.transport,
-            trace: d.trace.clone(),
-        }
-    }
-
     fn tracer(&self) -> Tracer {
         self.cfg.trace.clone()
     }
@@ -483,22 +395,6 @@ impl Problem for Mst {
         Mst { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> MstConfig {
-        MstConfig {
-            bandwidth: d.bandwidth,
-            reps: d.reps,
-            charge_shared_randomness: d.charge_shared_randomness,
-            criterion: OutputCriterion::AnyMachine,
-            max_phases: d.max_phases,
-            faults: d.faults.clone(),
-            recovery: d.recovery,
-            contract: d.contract,
-            encoding: d.encoding,
-            transport: d.transport,
-            trace: d.trace.clone(),
-        }
-    }
-
     fn tracer(&self) -> Tracer {
         self.cfg.trace.clone()
     }
@@ -533,10 +429,6 @@ impl Problem for SpanningForest {
         SpanningForest { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> MstConfig {
-        Mst::config_from(d)
-    }
-
     fn tracer(&self) -> Tracer {
         self.cfg.trace.clone()
     }
@@ -568,20 +460,6 @@ impl Problem for MinCut {
 
     fn with(cfg: MinCutConfig) -> Self {
         MinCut { cfg }
-    }
-
-    fn config_from(d: &EngineConfig) -> MinCutConfig {
-        MinCutConfig {
-            bandwidth: d.bandwidth,
-            reps: d.reps,
-            charge_shared_randomness: d.charge_shared_randomness,
-            faults: d.faults.clone(),
-            recovery: d.recovery,
-            contract: d.contract,
-            encoding: d.encoding,
-            transport: d.transport,
-            trace: d.trace.clone(),
-        }
     }
 
     fn tracer(&self) -> Tracer {
@@ -621,10 +499,6 @@ impl Problem for Flooding {
         Flooding { bandwidth }
     }
 
-    fn config_from(d: &EngineConfig) -> Bandwidth {
-        d.bandwidth
-    }
-
     fn solve(&self, cluster: &Cluster) -> FloodingOutput {
         flooding_sharded(cluster.sharded(), self.bandwidth)
     }
@@ -652,10 +526,6 @@ impl Problem for Referee {
 
     fn with(bandwidth: Bandwidth) -> Self {
         Referee { bandwidth }
-    }
-
-    fn config_from(d: &EngineConfig) -> Bandwidth {
-        d.bandwidth
     }
 
     fn solve(&self, cluster: &Cluster) -> RefereeOutput {
@@ -701,13 +571,6 @@ impl Problem for EdgeBoruvka {
         EdgeBoruvka { cfg }
     }
 
-    fn config_from(d: &EngineConfig) -> EdgeBoruvkaConfig {
-        EdgeBoruvkaConfig {
-            bandwidth: d.bandwidth,
-            mode: CheckMode::BatchedPush,
-        }
-    }
-
     fn solve(&self, cluster: &Cluster) -> EdgeBoruvkaOutput {
         edge_boruvka_sharded(
             cluster.sharded(),
@@ -740,10 +603,6 @@ impl Problem for RepMst {
 
     fn with(cfg: MstConfig) -> Self {
         RepMst { cfg }
-    }
-
-    fn config_from(d: &EngineConfig) -> MstConfig {
-        Mst::config_from(d)
     }
 
     fn solve(&self, cluster: &Cluster) -> RepMstOutput {
@@ -791,22 +650,6 @@ mod tests {
         let rb = b.run(Connectivity::default());
         assert_eq!(ra.output.labels, rb.output.labels);
         assert_eq!(ra.report.stats.rounds, rb.report.stats.rounds);
-    }
-
-    #[test]
-    fn run_default_uses_builder_knobs() {
-        let g = generators::cycle(48);
-        let cluster = Cluster::builder(3)
-            .seed(5)
-            .bandwidth(Bandwidth::Bits(64))
-            .ingest_graph(&g);
-        let by_default = cluster.run_default::<Connectivity>();
-        let explicit = cluster.run(Connectivity::with(ConnectivityConfig {
-            bandwidth: Bandwidth::Bits(64),
-            ..ConnectivityConfig::default()
-        }));
-        assert_eq!(by_default.output.labels, explicit.output.labels);
-        assert_eq!(by_default.report.stats.rounds, explicit.report.stats.rounds);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! for MWOEs). Output follows Theorem 2(a)'s relaxed criterion: each forest
 //! edge is output by at least one machine (the proxy that chose it).
 
-use crate::engine::{Engine, EngineConfig, Mode};
+use crate::engine::{Engine, Mode};
 use crate::mst::MstConfig;
 use kgraph::graph::Edge;
 use kgraph::{Graph, Partition, ShardedGraph};
@@ -72,21 +72,7 @@ pub fn spanning_forest_sharded(
     seed: u64,
     cfg: &MstConfig,
 ) -> SpanningForestOutput {
-    let engine_cfg = EngineConfig {
-        bandwidth: cfg.bandwidth,
-        reps: cfg.reps,
-        charge_shared_randomness: cfg.charge_shared_randomness,
-        run_output_protocol: false,
-        max_phases: cfg.max_phases,
-        faults: cfg.faults.clone(),
-        recovery: cfg.recovery,
-        contract: cfg.contract,
-        encoding: cfg.encoding,
-        transport: cfg.transport,
-        trace: cfg.trace.clone(),
-        ..EngineConfig::default()
-    };
-    let result = Engine::new(sg, Mode::SpanningForest, seed, engine_cfg).run();
+    let result = Engine::new(sg, Mode::SpanningForest, seed, cfg.engine()).run();
     let mut edges: Vec<Edge> = result
         .mst_edges
         .iter()

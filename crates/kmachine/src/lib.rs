@@ -20,10 +20,10 @@
 //!   of such batches (Lemma 1 message schedules), so the BSP layer charges
 //!   exactly what the paper's analysis counts.
 //!
-//! Both layers accept a deterministic [`fault::FaultPlan`] — seeded
+//! The BSP layer accepts a deterministic [`fault::FaultPlan`] — seeded
 //! per-message drop/duplicate/reorder/delay decisions plus scheduled
-//! machine crashes. The BSP layer masks an installed plan with a
-//! per-superstep ack/retransmit protocol whose cost lands in the
+//! machine crashes — and masks it with a per-superstep ack/retransmit
+//! protocol whose cost lands in the
 //! `faults_injected` / `retransmit_bits` / `recovery_rounds` counters of
 //! [`metrics::CommStats`] (DESIGN.md §3.10).
 //!

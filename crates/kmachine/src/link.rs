@@ -8,21 +8,6 @@
 use crate::message::Envelope;
 use std::collections::VecDeque;
 
-/// What a fault plan does to one message completing transmission on a
-/// link (see [`Link::transmit_with`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkFault {
-    /// Deliver normally.
-    None,
-    /// Discard the message (bits were spent, nothing arrives).
-    Drop,
-    /// Deliver a spurious second copy alongside the original.
-    Dup,
-    /// Re-queue the message at the back of the link for a fresh
-    /// transmission (it arrives whole rounds late).
-    Delay,
-}
-
 /// One directed link's transmission queue.
 ///
 /// Messages are transmitted in FIFO order; a message larger than the
@@ -66,40 +51,6 @@ impl<M> Link<M> {
                 *rem -= remaining;
                 remaining = 0;
             }
-        }
-        delivered
-    }
-
-    /// Like [`Link::transmit`], but consults `fault` for every message
-    /// that completes transmission this round: `Drop` discards it (the
-    /// bits were spent, the message is gone), `Dup` delivers a spurious
-    /// second copy, `Delay` re-queues it at the back of the link (it will
-    /// be transmitted again from scratch), `None` delivers normally. This
-    /// is how [`crate::network::Network`] threads a
-    /// [`crate::fault::FaultPlan`] through the per-round FIFO simulation.
-    pub fn transmit_with(
-        &mut self,
-        budget: u64,
-        mut fault: impl FnMut(&Envelope<M>) -> LinkFault,
-    ) -> Vec<Envelope<M>>
-    where
-        M: Clone,
-    {
-        let mut delivered = Vec::new();
-        let mut delayed = Vec::new();
-        for env in self.transmit(budget) {
-            match fault(&env) {
-                LinkFault::None => delivered.push(env),
-                LinkFault::Drop => {}
-                LinkFault::Dup => {
-                    delivered.push(env.clone());
-                    delivered.push(env);
-                }
-                LinkFault::Delay => delayed.push(env),
-            }
-        }
-        for env in delayed {
-            self.push(env);
         }
         delivered
     }
@@ -162,28 +113,6 @@ mod tests {
         let out = l.transmit(30); // 4th round: 120 >= 100
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload.0, 7);
-    }
-
-    #[test]
-    fn transmit_with_applies_link_faults() {
-        let mut l: Link<P> = Link::default();
-        for i in 0..4 {
-            l.push(Envelope::new(0, 1, P(i, 10)));
-        }
-        // Message 0 dropped, 1 duplicated, 2 delayed, 3 delivered.
-        let out = l.transmit_with(100, |e| match e.payload.0 {
-            0 => LinkFault::Drop,
-            1 => LinkFault::Dup,
-            2 => LinkFault::Delay,
-            _ => LinkFault::None,
-        });
-        let ids: Vec<u64> = out.iter().map(|e| e.payload.0).collect();
-        assert_eq!(ids, vec![1, 1, 3]);
-        // The delayed message re-queued at full size and arrives later.
-        assert_eq!(l.backlog_bits(), 10);
-        let late = l.transmit_with(100, |_| LinkFault::None);
-        assert_eq!(late.len(), 1);
-        assert_eq!(late[0].payload.0, 2);
     }
 
     #[test]

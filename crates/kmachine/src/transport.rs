@@ -1,9 +1,9 @@
 //! Pluggable byte transports: the boundary between the model's accounting
 //! and the machinery that actually moves bytes (DESIGN.md §3.12).
 //!
-//! The three network layers ([`crate::bsp::Bsp`], [`crate::network::Network`],
-//! [`crate::link::Link`]) charge rounds and bits analytically; *how* a
-//! superstep's bytes travel is delegated to a [`Transport`]:
+//! The superstep layer ([`crate::bsp::Bsp`]) charges rounds and bits
+//! analytically; *how* a superstep's bytes travel is delegated to a
+//! [`Transport`]:
 //!
 //! * [`SimTransport`] — the in-process simulator, the accounting oracle.
 //!   Frames loop back untouched; the BSP layer short-circuits it entirely so
@@ -196,8 +196,7 @@ pub trait Transport: Send {
 
 /// The in-process backend: frames loop back unchanged. The BSP layer never
 /// even encodes under this kind (the simulator is the oracle and must stay
-/// byte-identical); the loopback exists so the trait is total and the
-/// fine-grained [`crate::network::Network`] can route through it.
+/// byte-identical); the loopback exists so the trait is total.
 #[derive(Debug, Default)]
 pub struct SimTransport {
     phys: PhysStats,

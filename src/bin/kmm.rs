@@ -291,17 +291,15 @@ fn run_problem<P: Problem>(
 /// `kmm dyn`: ingest, wrap into a `DynamicCluster`, replay the `--trace`
 /// batches, and print a per-batch trailer (components, forest size, the
 /// maintained MST's weight/size/refresh path, solve and update-phase
-/// costs) — JSON lines under `--report json`.
-#[allow(clippy::too_many_arguments)]
+/// costs) — JSON lines under `--report json`. The dynamic layer's own
+/// supersteps take their faults, encoding, transport and tracer from the
+/// connectivity config, so update routing is charged like the solves.
 fn run_dyn(
     args: &Args,
     k: usize,
     seed: u64,
-    faults: Option<FaultPlan>,
-    contract: bool,
-    encoding: Encoding,
-    transport: TransportSel,
-    trace: &Tracer,
+    conn_cfg: &ConnectivityConfig,
+    mst_cfg: &MstConfig,
 ) -> ExitCode {
     let Some(path) = args.get("trace") else {
         return fail("dyn needs --trace FILE (`+ u v [w]` / `- u v` / `---` per line)");
@@ -325,29 +323,15 @@ fn run_dyn(
     let mut dc = DynamicCluster::wrap(
         cluster,
         DynConfig {
-            faults: faults.clone(),
-            trace: trace.clone(),
+            faults: conn_cfg.faults.clone(),
+            encoding: conn_cfg.encoding,
+            transport: conn_cfg.transport,
+            trace: conn_cfg.trace.clone(),
             ..DynConfig::default()
         },
     );
-    let conn_cfg = ConnectivityConfig {
-        faults: faults.clone(),
-        contract,
-        encoding,
-        transport,
-        trace: trace.clone(),
-        ..ConnectivityConfig::default()
-    };
-    let mst_cfg = MstConfig {
-        faults,
-        contract,
-        encoding,
-        transport,
-        trace: trace.clone(),
-        ..MstConfig::default()
-    };
     let emit = |batch: usize, up: Option<&UpdateReport>, dc: &mut DynamicCluster| {
-        let conn = dc.connectivity(&conn_cfg);
+        let conn = dc.connectivity(conn_cfg);
         // Read the refresh kind now: the follow-up spanning-forest call is
         // served from the structure the connectivity solve just refreshed.
         let refresh = match dc.last_refresh() {
@@ -357,8 +341,8 @@ fn run_dyn(
             }
             RefreshKind::Full => "full".to_string(),
         };
-        let st = dc.spanning_forest(&mst_cfg);
-        let mst = dc.mst(&mst_cfg);
+        let st = dc.spanning_forest(mst_cfg);
+        let mst = dc.mst(mst_cfg);
         let mst_refresh = match dc.last_refresh() {
             RefreshKind::Cached => "cached".to_string(),
             RefreshKind::Incremental { active_vertices } => {
@@ -582,7 +566,6 @@ fn main() -> ExitCode {
         Ok(f) => f,
         Err(e) => return fail(&format!("--faults: {e}")),
     };
-    let contract = args.flag("contract");
     let encoding = match args.get("encoding") {
         None | Some("naive") => Encoding::Naive,
         Some("varint") => Encoding::Varint,
@@ -597,76 +580,79 @@ fn main() -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&e),
     };
+    // Every runtime flag lands in exactly these three configs; each
+    // subcommand runs under the one its problem takes.
+    let contract = args.flag("contract");
+    let mst_cfg = MstConfig {
+        criterion: if args.flag("both-endpoints") {
+            OutputCriterion::BothEndpoints
+        } else {
+            OutputCriterion::AnyMachine
+        },
+        faults: faults.clone(),
+        contract,
+        encoding,
+        transport,
+        trace: trace.clone(),
+        ..MstConfig::default()
+    };
+    let cut_cfg = MinCutConfig {
+        faults: faults.clone(),
+        contract,
+        encoding,
+        transport,
+        trace: trace.clone(),
+        ..MinCutConfig::default()
+    };
+    let conn_cfg = ConnectivityConfig {
+        faults,
+        contract,
+        encoding,
+        transport,
+        trace,
+        ..ConnectivityConfig::default()
+    };
     let code = match args.cmd.as_str() {
         "conn" => run_problem(
             &args,
             k,
             seed,
             transport,
-            Connectivity::with(ConnectivityConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                trace: trace.clone(),
-                ..ConnectivityConfig::default()
-            }),
+            Connectivity::with(conn_cfg.clone()),
             |out| vec![("components", out.component_count().to_string())],
             |_, out| {
                 println!("components: {}", out.component_count());
                 println!("phases:     {}", out.phases);
             },
         ),
-        "mst" => {
-            let cfg = MstConfig {
-                criterion: if args.flag("both-endpoints") {
-                    OutputCriterion::BothEndpoints
-                } else {
-                    OutputCriterion::AnyMachine
-                },
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                trace: trace.clone(),
-                ..MstConfig::default()
-            };
-            run_problem(
-                &args,
-                k,
-                seed,
-                transport,
-                Mst::with(cfg),
-                |out| {
-                    vec![
-                        ("forest_edges", out.edges.len().to_string()),
-                        ("total_weight", out.total_weight.to_string()),
-                    ]
-                },
-                |args, out| {
-                    println!("forest edges: {}", out.edges.len());
-                    println!("total weight: {}", out.total_weight);
-                    if args.flag("print-edges") {
-                        for e in &out.edges {
-                            println!("{} {} {}", e.u, e.v, e.w);
-                        }
+        "mst" => run_problem(
+            &args,
+            k,
+            seed,
+            transport,
+            Mst::with(mst_cfg),
+            |out| {
+                vec![
+                    ("forest_edges", out.edges.len().to_string()),
+                    ("total_weight", out.total_weight.to_string()),
+                ]
+            },
+            |args, out| {
+                println!("forest edges: {}", out.edges.len());
+                println!("total weight: {}", out.total_weight);
+                if args.flag("print-edges") {
+                    for e in &out.edges {
+                        println!("{} {} {}", e.u, e.v, e.w);
                     }
-                },
-            )
-        }
+                }
+            },
+        ),
         "st" => run_problem(
             &args,
             k,
             seed,
             transport,
-            SpanningForest::with(MstConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                trace: trace.clone(),
-                ..MstConfig::default()
-            }),
+            SpanningForest::with(mst_cfg),
             |out| vec![("forest_edges", out.edges.len().to_string())],
             |_, out| {
                 println!("forest edges: {}", out.edges.len());
@@ -677,14 +663,7 @@ fn main() -> ExitCode {
             k,
             seed,
             transport,
-            MinCut::with(MinCutConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                trace: trace.clone(),
-                ..MinCutConfig::default()
-            }),
+            MinCut::with(cut_cfg),
             |out| {
                 vec![
                     ("estimate", out.estimate.to_string()),
@@ -696,9 +675,7 @@ fn main() -> ExitCode {
                 println!("probes:   {}", out.probes);
             },
         ),
-        "dyn" => run_dyn(
-            &args, k, seed, faults, contract, encoding, transport, &trace,
-        ),
+        "dyn" => run_dyn(&args, k, seed, &conn_cfg, &mst_cfg),
         "stcon" => {
             let g = match load_graph(&args) {
                 Ok(g) => g,
@@ -710,17 +687,10 @@ fn main() -> ExitCode {
             if s as usize >= g.n() || t as usize >= g.n() {
                 return fail("--s/--t out of range");
             }
-            let cfg = ConnectivityConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                ..ConnectivityConfig::default()
-            };
-            let v = verify::st_connectivity(&g, s, t, k, seed, &cfg);
+            let v = verify::st_connectivity(&g, s, t, k, seed, &conn_cfg);
             println!("connected: {}", v.holds);
             println!("rounds:    {}", v.stats.rounds);
-            if faults.is_some() {
+            if conn_cfg.faults.is_some() {
                 println!(
                     "faults:    {} injected, recovery {} rounds",
                     v.stats.faults_injected, v.stats.recovery_rounds
@@ -733,17 +703,10 @@ fn main() -> ExitCode {
                 Ok(g) => g,
                 Err(e) => return fail(&e),
             };
-            let cfg = ConnectivityConfig {
-                faults: faults.clone(),
-                contract,
-                encoding,
-                transport,
-                ..ConnectivityConfig::default()
-            };
-            let v = verify::bipartiteness(&g, k, seed, &cfg);
+            let v = verify::bipartiteness(&g, k, seed, &conn_cfg);
             println!("bipartite: {}", v.holds);
             println!("rounds:    {}", v.stats.rounds);
-            if faults.is_some() {
+            if conn_cfg.faults.is_some() {
                 println!(
                     "faults:    {} injected, recovery {} rounds",
                     v.stats.faults_injected, v.stats.recovery_rounds
@@ -799,7 +762,7 @@ fn main() -> ExitCode {
             usage()
         }
     };
-    trace.flush();
+    conn_cfg.trace.flush();
     code
 }
 

@@ -734,3 +734,100 @@ fn bad_faults_spec_is_a_clean_error() {
         assert!(!err.contains("panicked"), "{err}");
     }
 }
+
+#[test]
+fn trace_out_records_stcon_and_bipart_runs() {
+    let graph = tmp("trace-grid.txt");
+    assert!(kmm()
+        .args([
+            "gen",
+            "--family",
+            "grid",
+            "--n",
+            "64",
+            "--out",
+            graph.to_str().unwrap()
+        ])
+        .status()
+        .unwrap()
+        .success());
+    for (cmd, extra) in [
+        ("stcon", &["--s", "0", "--t", "63"][..]),
+        ("bipart", &[][..]),
+    ] {
+        let trace = tmp(&format!("{cmd}.jsonl"));
+        let out = kmm()
+            .args([cmd, "--input", graph.to_str().unwrap(), "--k", "4"])
+            .args(extra)
+            .args(["--trace-out", trace.to_str().unwrap()])
+            .output()
+            .expect("run");
+        assert!(out.status.success(), "{out:?}");
+        let text = std::fs::read_to_string(&trace).expect("trace file written");
+        assert!(
+            !text.is_empty(),
+            "`kmm {cmd} --trace-out` wrote an empty trace"
+        );
+        let records = kmm::machine::trace::parse_jsonl(&text)
+            .unwrap_or_else(|e| panic!("`kmm {cmd}` trace does not parse: {e}"));
+        assert!(!records.is_empty(), "{cmd}");
+        let _ = std::fs::remove_file(&trace);
+        let _ = std::fs::remove_file(format!("{}.phys", trace.display()));
+    }
+    let _ = std::fs::remove_file(graph);
+}
+
+#[test]
+fn dyn_charges_update_routing_under_the_chosen_encoding() {
+    let trace = tmp("encoding.trace");
+    std::fs::write(
+        &trace,
+        "+ 0 1999 5\n- 3 4\n---\n+ 3 4 2\n- 0 1999\n---\n+ 7 1200 9\n- 7 8\n",
+    )
+    .unwrap();
+    let update_bits = |encoding: &str| -> Vec<u64> {
+        let out = kmm()
+            .args([
+                "dyn",
+                "--gen",
+                "path",
+                "--n",
+                "2000",
+                "--k",
+                "8",
+                "--seed",
+                "7",
+                "--trace",
+                trace.to_str().unwrap(),
+                "--encoding",
+                encoding,
+                "--report",
+                "json",
+            ])
+            .output()
+            .expect("run dyn");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .skip(1) // the base solve routes no updates
+            .map(|line| {
+                line.split("\"update_bits\": ")
+                    .nth(1)
+                    .and_then(|v| v.split([',', '}']).next())
+                    .and_then(|v| v.trim().parse().ok())
+                    .unwrap_or_else(|| panic!("no update_bits in {line}"))
+            })
+            .collect()
+    };
+    let naive = update_bits("naive");
+    let varint = update_bits("varint");
+    assert_eq!(naive.len(), 3, "{naive:?}");
+    for (b, (v, n)) in varint.iter().zip(&naive).enumerate() {
+        assert!(
+            v < n,
+            "batch {}: varint update_bits {v} must undercut naive {n}",
+            b + 1
+        );
+    }
+    let _ = std::fs::remove_file(trace);
+}

@@ -207,30 +207,6 @@ fn min_cut_and_spanning_forest_are_bit_identical() {
     assert_stats_identical("st/barbell/k3", &sim_st.stats, &proc_st.stats);
 }
 
-#[test]
-fn session_builder_selects_the_proc_backend() {
-    // `ClusterBuilder::transport` threads the selection through
-    // `EngineConfig` defaults, so `run_default` exercises the same path
-    // the CLI's `--transport proc` takes.
-    use_test_worker_exe();
-    let g = generators::planted_components(120, 2, 4, 0x63);
-    let sim = Cluster::builder(4)
-        .seed(5)
-        .ingest_graph(&g)
-        .run_default::<Connectivity>();
-    let phys = Cluster::builder(4)
-        .seed(5)
-        .transport(TransportSel::Proc)
-        .ingest_graph(&g)
-        .run_default::<Connectivity>();
-    assert_eq!(sim.output.labels, phys.output.labels, "builder labels");
-    assert_stats_identical(
-        "builder/planted-2/k4",
-        &sim.report.stats,
-        &phys.report.stats,
-    );
-}
-
 // ---------------------------------------------------------------------
 // Worker crash: kill -9 mid-run maps onto CrashEvent recovery.
 // ---------------------------------------------------------------------
